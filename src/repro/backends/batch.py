@@ -20,9 +20,22 @@ backend removes both costs:
    so a frequency sweep re-decodes nothing: every point of the Fig. 3
    sweep shares one decoded access timeline and re-evaluates only the
    frequency-dependent timing recurrences.  The cache is a small
-   content-keyed LRU (:data:`DECODE_CACHE_SIZE` entries); inspect it
-   with :func:`decode_cache_stats`, drop it with
-   :func:`clear_decode_cache`.
+   content-keyed LRU (:data:`DECODE_CACHE_SIZE` entries) whose key is
+   the run table's bytes (``table.tobytes()``) plus the mapping's
+   bank/row/xor shifts and masks; inspect it with
+   :func:`decode_cache_stats`, drop it with :func:`clear_decode_cache`.
+
+Input formats.  :meth:`BatchChannelEngine.run` accepts an ``(n, 4)``
+(or ``(n, 3)``, arrival 0) integer array -- the run table
+:meth:`~repro.core.interleave.ChannelInterleaver.split_stream` builds
+per channel, used as is -- or any iterable of ``(op, start, count[,
+arrival])`` tuples and :class:`~repro.controller.request.ChannelRun`
+objects.  Every input becomes one C-contiguous int64 table of ``[op,
+start, count, arrival]`` rows whose op, count, start, arrival and
+channel-capacity checks are vectorised; the same runs in any of these
+formats therefore share one cache entry.  A non-integer field is
+refused with :class:`~repro.errors.ConfigurationError`, like on every
+other backend.
 
 The timing recurrences themselves are resolved per segment with the
 same *provably exact* cumulative-sum closed form the fast backend
@@ -49,7 +62,7 @@ protocol audits and closed-page studies behave identically to
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Optional, Tuple
+from typing import Any, Iterable, Optional
 
 try:  # numpy is optional: the "batch" extra in pyproject.toml
     import numpy as _np
@@ -59,7 +72,12 @@ except ImportError:  # pragma: no cover - exercised via monkeypatching
 from repro.backends.base import ChannelBackend
 from repro.backends.fast import MIN_BATCH
 from repro.backends.reference import build_engine
-from repro.controller.engine import ChannelEngine, ChannelResult, RunLike
+from repro.controller.engine import (
+    ChannelEngine,
+    ChannelResult,
+    RunLike,
+    run_fields,
+)
 from repro.controller.interconnect import OVERHEAD_SCALE, OVERHEAD_SHIFT
 from repro.core.config import SystemConfig
 from repro.dram.commands import CommandCounters, StateDurations
@@ -77,7 +95,7 @@ _NUMPY_MISSING = (
 #: a whole frequency sweep hits the cache after its first point.
 DECODE_CACHE_SIZE = 32
 
-#: Content-keyed LRU: (runs, mapping params) -> _DecodedStream.
+#: Content-keyed LRU: (run-table bytes, mapping params) -> _DecodedStream.
 _DECODE_CACHE: "OrderedDict[tuple, _DecodedStream]" = OrderedDict()
 _CACHE_STATS = {
     "hits": 0,
@@ -141,8 +159,59 @@ class _DecodedStream:
         self.bank_counts = bank_counts
 
 
-def _decode_stream(runs: Tuple[Tuple[int, int, int, int], ...], mapping) -> _DecodedStream:
-    """Vectorized run-list -> segment-table decode (cache miss path)."""
+def _run_table(runs: Iterable[RunLike], max_chunk: int) -> Any:
+    """Any accepted run format as one validated C-contiguous ``(n, 4)``
+    int64 table of ``[op, start, count, arrival]`` rows.
+
+    The checks are :meth:`ChannelEngine._normalise`'s plus the channel
+    capacity, vectorised; the first offending row raises the same
+    error, with the same message, as on the reference backend.
+    """
+    np = _np
+    if isinstance(runs, np.ndarray):
+        rows = runs
+    else:
+        rows = [run_fields(run) for run in runs]
+    table = np.asarray(rows)
+    if table.size == 0:
+        return np.empty((0, 4), dtype=np.int64)
+    if table.ndim != 2 or table.shape[1] not in (3, 4):
+        raise ConfigurationError(
+            f"a run table must have shape (n, 4) or (n, 3), got {table.shape}"
+        )
+    kind = table.dtype.kind
+    if kind not in "iub" or (kind == "u" and table.max() > np.iinfo(np.int64).max):
+        # Floats, objects and integers int64 cannot hold: the scalar
+        # checks refuse a non-integer; an integer this large overruns
+        # the channel (or, as an arrival, the table).
+        for op, start, count, arrival in ChannelEngine._normalise(rows):
+            if start + count > max_chunk:
+                raise AddressError(
+                    f"run [{start}, {start + count}) exceeds channel capacity "
+                    f"of {max_chunk} chunks"
+                )
+        raise ConfigurationError("run arrival cycles must fit in int64")
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    if table.shape[1] == 3:
+        table = np.column_stack([table, np.zeros(len(table), dtype=np.int64)])
+    op, start, count, arrival = table.T
+    bad = ((op != 0) & (op != 1)) | (count <= 0) | (start < 0) | (arrival < 0)
+    if bad.any():
+        first = int(bad.argmax())
+        ChannelEngine._normalise(table[first : first + 1])  # raises
+    # count is positive here, so max_chunk - count cannot overflow.
+    over = start > max_chunk - count
+    if over.any():
+        first = int(over.argmax())
+        start, end = int(start[first]), int(start[first] + count[first])
+        raise AddressError(
+            f"run [{start}, {end}) exceeds channel capacity of {max_chunk} chunks"
+        )
+    return table
+
+
+def _decode_stream(table, mapping) -> _DecodedStream:
+    """Vectorized run-table -> segment-table decode (cache miss path)."""
     np = _np
     # Accesses share (bank, row) while the chunk bits at or above every
     # decode shift are constant, i.e. within one aligned 2**seg_shift
@@ -158,10 +227,10 @@ def _decode_stream(runs: Tuple[Tuple[int, int, int, int], ...], mapping) -> _Dec
     )
     nbanks = mapping.bank_mask + 1
 
-    if not runs:
+    nruns = len(table)
+    if not nruns:
         return _DecodedStream([], 0, 0, (0,) * nbanks)
 
-    table = np.asarray(runs, dtype=np.int64)  # (nruns, 4)
     ops = table[:, 0]
     starts = table[:, 1]
     counts = table[:, 2]
@@ -170,8 +239,8 @@ def _decode_stream(runs: Tuple[Tuple[int, int, int, int], ...], mapping) -> _Dec
     first_block = starts >> seg_shift
     nseg = ((starts + counts - 1) >> seg_shift) - first_block + 1
     total = int(nseg.sum())
-    seg_run = np.repeat(np.arange(len(runs), dtype=np.int64), nseg)
-    offsets = np.zeros(len(runs), dtype=np.int64)
+    seg_run = np.repeat(np.arange(nruns, dtype=np.int64), nseg)
+    offsets = np.zeros(nruns, dtype=np.int64)
     np.cumsum(nseg[:-1], out=offsets[1:])
     within = np.arange(total, dtype=np.int64) - offsets[seg_run]
     block = first_block[seg_run] + within
@@ -209,12 +278,11 @@ def _decode_stream(runs: Tuple[Tuple[int, int, int, int], ...], mapping) -> _Dec
     )
 
 
-def _decode_cached(
-    runs: Tuple[Tuple[int, int, int, int], ...], mapping
-) -> _DecodedStream:
-    """LRU-cached decode, keyed by run content + mapping parameters."""
+def _decode_cached(table, mapping) -> _DecodedStream:
+    """LRU-cached decode of a :func:`_run_table` table, keyed by its
+    bytes + the mapping parameters."""
     key = (
-        runs,
+        table.tobytes(),
         mapping.bank_shift,
         mapping.bank_mask,
         mapping.row_shift,
@@ -229,7 +297,7 @@ def _decode_cached(
         _CACHE_STATS["hits"] += 1
         return cached
     _CACHE_STATS["misses"] += 1
-    decoded = _decode_stream(runs, mapping)
+    decoded = _decode_stream(table, mapping)
     _DECODE_CACHE[key] = decoded
     _CACHE_STATS["insertions"] += 1
     while len(_DECODE_CACHE) > DECODE_CACHE_SIZE:
@@ -263,15 +331,7 @@ class BatchChannelEngine(ChannelEngine):
         if _np is None:
             raise ConfigurationError(_NUMPY_MISSING)
 
-        normalised = tuple(self._normalise(runs))
-        max_chunk = self._max_chunk
-        for _, start, count, _ in normalised:
-            if start + count > max_chunk:
-                raise AddressError(
-                    f"run [{start}, {start + count}) exceeds channel capacity "
-                    f"of {max_chunk} chunks"
-                )
-        decoded = _decode_cached(normalised, self.mapping)
+        decoded = _decode_cached(_run_table(runs, self._max_chunk), self.mapping)
 
         timing = self.timing
         cas = timing.cas_latency

@@ -41,6 +41,7 @@ Scheduling model
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.controller.interconnect import (
@@ -62,8 +63,19 @@ from repro.errors import AddressError, ConfigurationError, ProtocolError
 #: How many trailing commands a runtime invariant failure reports.
 _VIOLATION_HISTORY = 12
 
-#: Accepted run formats: ChannelRun objects or raw (op, start, count[, arrival]) tuples.
+#: Accepted run formats: ChannelRun objects or raw (op, start, count[, arrival])
+#: tuples; a whole stream may also be an (n, 4) or (n, 3) run table.
 RunLike = Union[ChannelRun, Tuple[int, int, int], Tuple[int, int, int, int]]
+
+
+def run_fields(run: RunLike) -> Sequence:
+    """The ``(op, start, count, arrival)`` fields of one run, unchecked
+    (arrival 0 for a 3-tuple)."""
+    if isinstance(run, ChannelRun):
+        return (run.op, run.start_chunk, run.count, run.arrival_cycle)
+    if len(run) == 3:
+        return (*run, 0)
+    return run
 
 
 @dataclass
@@ -222,19 +234,28 @@ class ChannelEngine:
 
     @staticmethod
     def _normalise(runs: Iterable[RunLike]) -> Sequence[Tuple[int, int, int, int]]:
-        """Convert accepted run formats into (op, start, count, arrival)."""
+        """Convert accepted run formats into (op, start, count, arrival).
+
+        Besides ``ChannelRun`` objects and tuples this accepts a run
+        table -- an ``(n, 4)`` or ``(n, 3)`` array such as
+        :meth:`~repro.core.interleave.ChannelInterleaver.split_stream`
+        builds -- through its ``tolist()``.
+        """
+        tolist = getattr(runs, "tolist", None)
+        if tolist is not None:
+            runs = tolist()
         out = []
         for run in runs:
-            if isinstance(run, ChannelRun):
-                op = int(run.op)
-                start = run.start_chunk
-                count = run.count
-                arrival = run.arrival_cycle
-            elif len(run) == 3:
-                op, start, count = run
-                arrival = 0
-            else:
-                op, start, count, arrival = run
+            fields = run_fields(run)
+            # Integers only: a float start or count would be truncated
+            # by one engine and crash another's shift arithmetic.
+            try:
+                op, start, count, arrival = map(index, fields)
+            except TypeError:
+                raise ConfigurationError(
+                    f"run fields (op, start, count, arrival) must be "
+                    f"integers, got {tuple(fields)!r}"
+                ) from None
             # Both forms pass through the same checks: a ChannelRun can
             # be malformed too (op is not validated at construction, and
             # frozen dataclasses can still be corrupted), and letting one

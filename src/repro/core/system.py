@@ -17,15 +17,16 @@ the results are bit-identical to the sequential path.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
+from repro.backends.registry import available_backends, get_backend
 from repro.controller.engine import ChannelResult
 from repro.controller.request import MasterTransaction
 from repro.core.channel import Channel
 from repro.core.config import SystemConfig
 from repro.core.interleave import ChannelInterleaver
 from repro.core.results import SimulationResult
-from repro.errors import AddressError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.parallel import parallel_map, resolve_workers
 from repro.telemetry.session import Telemetry
 from repro.units import clock_period_ns
@@ -36,11 +37,6 @@ from repro.units import clock_period_ns
 #: deterministic -- it produces the identical result, just without the
 #: pool.
 PARALLEL_MIN_CHUNKS = 32_768
-
-#: Sub-cycle slack for the arrival-time conversion: an arrival within
-#: this many cycles of a clock edge (femtoseconds of real time) is
-#: treated as on the edge, absorbing float rounding in ns arithmetic.
-_ARRIVAL_EPSILON_CYCLES = 1e-6
 
 
 def _run_channel_job(
@@ -132,66 +128,17 @@ class MultiChannelMemorySystem:
             default) keeps the untapped fast path; results are
             bit-identical either way.
         """
-        per_channel: List[list] = [[] for _ in range(self.config.channels)]
+        split = self.interleaver.split_stream
         capacity = self.config.total_capacity_bytes
-        total_chunks = capacity >> 4
-        tck = self._tck_ns
-        split_span = self.interleaver.split_span
-
-        def split_transactions() -> Tuple[int, int]:
-            """Interleave the master stream; returns (txns, chunks)."""
-            queued_chunks = 0
-            n_txns = 0
-            for txn in transactions:
-                n_txns += 1
-                if txn.end_address > capacity and not wrap_capacity:
-                    raise AddressError(
-                        f"transaction [{txn.address:#x}, {txn.end_address:#x}) "
-                        f"exceeds total capacity {capacity:#x}"
-                    )
-                # Explicit None test: an arrival of exactly 0.0 ns is a
-                # timestamp, not a missing one (both map to cycle 0, but
-                # truthiness would also swallow a future Optional misuse).
-                # The conversion rounds *up*: an arrival strictly inside
-                # cycle k cannot issue at k -- truncation placed it one
-                # cycle early.  Negative arrivals must be rejected here:
-                # int() truncates toward zero, so a negative value would
-                # round the wrong way and silently land at cycle 0/-1.
-                if txn.arrival_ns is None:
-                    arrival_cycle = 0
-                else:
-                    if txn.arrival_ns < 0:
-                        raise ConfigurationError(
-                            f"transaction arrival_ns must be >= 0, got "
-                            f"{txn.arrival_ns!r}"
-                        )
-                    arrival_f = txn.arrival_ns / tck
-                    arrival_cycle = int(arrival_f)
-                    if arrival_f - arrival_cycle > _ARRIVAL_EPSILON_CYCLES:
-                        arrival_cycle += 1
-                span = txn.chunk_span()
-                op = int(txn.op)
-                first = span.start % total_chunks
-                remaining = len(span)
-                if remaining > total_chunks:
-                    raise AddressError(
-                        f"transaction of {txn.size} bytes exceeds the whole "
-                        f"memory capacity {capacity:#x}"
-                    )
-                while remaining > 0:
-                    take = min(remaining, total_chunks - first)
-                    for ch, start, count in split_span(first, first + take - 1):
-                        per_channel[ch].append((op, start, count, arrival_cycle))
-                    first = 0
-                    remaining -= take
-                queued_chunks += len(span)
-            return n_txns, queued_chunks
-
         if telemetry is None:
-            n_txns, queued_chunks = split_transactions()
+            per_channel, n_txns, queued_chunks = split(
+                transactions, capacity, self._tck_ns, wrap_capacity
+            )
         else:
             with telemetry.phase("system.interleave"):
-                n_txns, queued_chunks = split_transactions()
+                per_channel, n_txns, queued_chunks = split(
+                    transactions, capacity, self._tck_ns, wrap_capacity
+                )
 
         if command_logs is not None:
             # Audit path: always in-process.  Per-command logs are
@@ -296,10 +243,15 @@ class MultiChannelMemorySystem:
         for index, (channel, log) in enumerate(zip(self.channels, command_logs)):
             checker_factory = getattr(channel.simulator, "make_checker", None)
             if checker_factory is None:
+                auditable = ", ".join(
+                    repr(name)
+                    for name in available_backends()
+                    if get_backend(name).supports_command_log
+                )
                 raise ConfigurationError(
                     f"backend {self.config.backend!r} does not support "
-                    "protocol auditing (no command logs); use the "
-                    "'reference' or 'fast' backend"
+                    "protocol auditing (no command logs); use one of "
+                    f"{auditable}"
                 )
             for violation in checker_factory().check(log):
                 problems.append(f"channel {index}: {violation}")

@@ -17,10 +17,11 @@ recording" trace with a 60 % predicted hit rate is a buggy trace).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
+from repro.controller.engine import ChannelEngine
 from repro.controller.mapping import AddressMapping, AddressMultiplexing
-from repro.controller.request import CHUNK_SHIFT, MasterTransaction
+from repro.controller.request import MasterTransaction
 from repro.core.interleave import ChannelInterleaver
 from repro.dram.device import NO_OPEN_ROW, BankClusterGeometry
 from repro.errors import ConfigurationError
@@ -70,12 +71,13 @@ def predict_locality(
 ) -> LocalityPrediction:
     """Walk the open-row state a controller would hold for ``transactions``.
 
-    Addresses wrap modulo the total capacity, mirroring
-    :meth:`repro.core.system.MultiChannelMemorySystem.run`.
+    The per-channel runs come from
+    :meth:`~repro.core.interleave.ChannelInterleaver.split_stream` with
+    addresses wrapping modulo the total capacity, exactly as
+    :meth:`repro.core.system.MultiChannelMemorySystem.run` splits them.
     """
     if channels < 1:
         raise ConfigurationError(f"channels must be >= 1, got {channels}")
-    interleaver = ChannelInterleaver(channels)
     mapping = AddressMapping.build(geometry, scheme)
     bank_shift = mapping.bank_shift
     bank_mask = mapping.bank_mask
@@ -84,33 +86,24 @@ def predict_locality(
     xor_shift = mapping.xor_shift
     xor_mask = mapping.xor_mask
 
-    total_chunks_cap = (geometry.capacity_bytes >> CHUNK_SHIFT) * channels
+    # Arrival cycles do not affect row locality; any clock will do.
+    tables, _, _ = ChannelInterleaver(channels).split_stream(
+        transactions, geometry.capacity_bytes * channels, tck_ns=1.0
+    )
     chunk_counts = [0] * channels
     activates = [0] * channels
-    open_rows: List[List[int]] = [
-        [NO_OPEN_ROW] * geometry.banks for _ in range(channels)
-    ]
-
-    for txn in transactions:
-        span = txn.chunk_span()
-        first = span.start % total_chunks_cap
-        remaining = len(span)
-        while remaining > 0:
-            take = min(remaining, total_chunks_cap - first)
-            for ch, start, count in interleaver.split_span(first, first + take - 1):
-                chunk_counts[ch] += count
-                rows = open_rows[ch]
-                for k in range(count):
-                    chunk = start + k
-                    bank = (
-                        (chunk >> bank_shift) ^ ((chunk >> xor_shift) & xor_mask)
-                    ) & bank_mask
-                    row = (chunk >> row_shift) & row_mask
-                    if rows[bank] != row:
-                        rows[bank] = row
-                        activates[ch] += 1
-            first = 0
-            remaining -= take
+    for ch, table in enumerate(tables):
+        rows = [NO_OPEN_ROW] * geometry.banks
+        for _, start, count, _ in ChannelEngine._normalise(table):
+            chunk_counts[ch] += count
+            for chunk in range(start, start + count):
+                bank = (
+                    (chunk >> bank_shift) ^ ((chunk >> xor_shift) & xor_mask)
+                ) & bank_mask
+                row = (chunk >> row_shift) & row_mask
+                if rows[bank] != row:
+                    rows[bank] = row
+                    activates[ch] += 1
 
     return LocalityPrediction(
         channels=channels,

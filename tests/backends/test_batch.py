@@ -125,8 +125,8 @@ class TestDecodeCacheLedgerProperty:
             model = OrderedDict()
             model_hits = 0
             for key_id in sequence:
-                runs = ((0, key_id, 0, 0),)
-                batch_module._decode_cached(runs, self._StubMapping())
+                table = np.array([[0, key_id, 0, 0]], dtype=np.int64)
+                batch_module._decode_cached(table, self._StubMapping())
                 if key_id in model:
                     model.move_to_end(key_id)
                     model_hits += 1

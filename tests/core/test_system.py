@@ -204,3 +204,15 @@ class TestSystemAudit:
         problems = system.audit(bogus)
         assert problems
         assert problems[0].startswith("channel 1:")
+
+
+class TestAuditRefusal:
+    def test_message_names_every_auditable_backend(self):
+        system = MultiChannelMemorySystem(SystemConfig(channels=2, backend="analytic"))
+        with pytest.raises(ConfigurationError) as err:
+            system.audit([[], []])
+        message = str(err.value)
+        assert "'analytic' does not support protocol auditing" in message
+        # batch audits through its reference fallback, so it is named.
+        for name in ("reference", "fast", "batch"):
+            assert repr(name) in message

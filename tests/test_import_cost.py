@@ -73,3 +73,12 @@ class TestLazyFacade:
             "print('run_fig3' in d, 'SystemConfig' in d)"
         )
         assert out.strip() == "True True"
+
+    def test_import_cli_does_not_pull_numpy(self):
+        # numpy is imported on first use (the batch engine, the
+        # interleaver's vectorised split), never by the CLI import.
+        out = _fresh_python(
+            "import sys, repro.cli;"
+            "print('numpy' in sys.modules)"
+        )
+        assert out.strip() == "False"
