@@ -31,9 +31,9 @@ from repro.core.config import (
 )
 from repro.core.system import MultiChannelMemorySystem
 from repro.errors import ConfigurationError
-from repro.load.model import VideoRecordingLoadModel
+from repro.load.frames import frame_for
 from repro.load.pacing import pace_transactions
-from repro.load.scaling import DEFAULT_CHUNK_BUDGET, choose_scale
+from repro.load.scaling import DEFAULT_CHUNK_BUDGET
 from repro.oracle.planner import screen_survivors
 from repro.parallel import resolve_workers
 from repro.power.report import compute_frame_power
@@ -271,10 +271,9 @@ def compare_energy_strategies(
     aggressive power-down assumption already captures most of what a
     DVFS-style pacing policy could save at fixed voltage/frequency.
     """
-    use_case = resolve_workload(workload).instantiate(level)
-    load = VideoRecordingLoadModel(use_case)
-    scale = choose_scale(use_case.total_bytes_per_frame(), chunk_budget)
-    txns = load.generate_frame(scale=scale)
+    scale, txns = frame_for(
+        resolve_workload(workload), level, chunk_budget=chunk_budget
+    )
     system = MultiChannelMemorySystem(config)
 
     backlogged = system.run(txns, scale=scale)

@@ -24,8 +24,8 @@ from repro.analysis.realtime import RealTimeVerdict, realtime_verdict
 from repro.core.config import SystemConfig
 from repro.core.system import MultiChannelMemorySystem
 from repro.errors import ConfigurationError
-from repro.load.model import VideoRecordingLoadModel
-from repro.load.scaling import DEFAULT_CHUNK_BUDGET, choose_scale
+from repro.load.frames import frame_for
+from repro.load.scaling import DEFAULT_CHUNK_BUDGET
 from repro.power.report import compute_frame_power
 from repro.usecase.levels import H264Level
 from repro.usecase.pipeline import VideoRecordingUseCase
@@ -112,12 +112,10 @@ def analyze_gop(
 
     results = {}
     for kind, intra in (("I", True), ("P", False)):
-        use_case = bound.intra_variant(intra).instantiate(level)
-        load = VideoRecordingLoadModel(use_case)
-        scale = choose_scale(use_case.total_bytes_per_frame(), chunk_budget)
-        result = MultiChannelMemorySystem(config).run(
-            load.generate_frame(scale=scale), scale=scale
+        scale, frame = frame_for(
+            bound.intra_variant(intra), level, chunk_budget=chunk_budget
         )
+        result = MultiChannelMemorySystem(config).run(frame, scale=scale)
         power = compute_frame_power(config, result, level.frame_period_ms)
         results[kind] = (result.access_time_ms, power.total_power_mw)
 

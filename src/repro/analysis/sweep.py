@@ -1,8 +1,9 @@
 """Configuration-sweep machinery shared by the experiments.
 
-The central primitive is :func:`simulate_use_case`: build the load
-model for an H.264 level, pick a simulation scale, run the
-multi-channel system and assemble the frame-power report.  The Fig. 3,
+The central primitive is :func:`simulate_use_case`: take the frame of
+an H.264 level at its simulation scale from the per-process frame memo
+(:mod:`repro.load.frames`), run the multi-channel system and assemble
+the frame-power report.  The Fig. 3,
 4 and 5 runners are thin sweeps over it.
 
 Sweep points are embarrassingly parallel -- every (configuration,
@@ -39,8 +40,9 @@ from repro.core.config import SystemConfig
 from repro.core.results import SimulationResult
 from repro.core.system import MultiChannelMemorySystem
 from repro.errors import CheckpointError, ConfigurationError, WorkerError
-from repro.load.model import DEFAULT_BLOCK_BYTES, VideoRecordingLoadModel
-from repro.load.scaling import DEFAULT_CHUNK_BUDGET, choose_scale
+from repro.load.frames import build_frame, frame_for
+from repro.load.model import DEFAULT_BLOCK_BYTES
+from repro.load.scaling import DEFAULT_CHUNK_BUDGET
 from repro.parallel import parallel_map, resolve_workers
 from repro.power.report import FramePowerReport, compute_frame_power
 from repro.resilience.checkpoint import SweepCheckpoint
@@ -107,23 +109,34 @@ def simulate_use_case(
     explicit ``use_case`` instance (the legacy hook) wins over
     ``workload``.
 
+    Without ``use_case``, the frame comes from the per-process frame
+    memo (:func:`repro.load.frames.frame_for`): points that share the
+    workload, level, scale, chunk budget and block size -- every
+    channel count and clock of a figure -- generate their frame once.
+    The legacy ``use_case`` hook bypasses the memo.
+
     A live ``telemetry`` session attributes wall-clock to the pipeline
-    phases (``load.build``, ``load.scale``, ``load.generate``, the
-    system's ``system.interleave`` / ``system.engine`` /
-    ``system.pool`` and ``power.integrate``) and collects the
-    ``engine.*`` statistics; the returned point is bit-identical with
-    telemetry on, off or absent.
+    phases (``load.build``, ``load.scale`` and ``load.generate`` when
+    the frame is generated, the system's ``system.interleave`` /
+    ``system.engine`` / ``system.pool`` and ``power.integrate``),
+    counts frame-memo ``load.memo_hits`` / ``load.memo_misses`` and
+    collects the ``engine.*`` statistics; the returned point is
+    bit-identical with telemetry on, off or absent.
     """
     profiler = telemetry.profiler if telemetry is not None else NULL_PROFILER
-    with profiler.phase("load.build"):
-        if use_case is None:
-            use_case = resolve_workload(workload).instantiate(level)
-        load = VideoRecordingLoadModel(use_case, block_bytes=block_bytes)
-    with profiler.phase("load.scale"):
-        if scale is None:
-            scale = choose_scale(use_case.total_bytes_per_frame(), chunk_budget)
-    with profiler.phase("load.generate"):
-        transactions = load.generate_frame(scale=scale)
+    if use_case is None:
+        scale, transactions = frame_for(
+            resolve_workload(workload),
+            level,
+            scale=scale,
+            chunk_budget=chunk_budget,
+            block_bytes=block_bytes,
+            telemetry=telemetry,
+        )
+    else:
+        scale, transactions = build_frame(
+            lambda: use_case, scale, chunk_budget, block_bytes, profiler
+        )
     system = MultiChannelMemorySystem(config)
     result = system.run(transactions, scale=scale, telemetry=telemetry)
     with profiler.phase("power.integrate"):

@@ -61,7 +61,6 @@ protocol audits and closed-page studies behave identically to
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Iterable, Optional
 
 try:  # numpy is optional: the "batch" extra in pyproject.toml
@@ -83,6 +82,7 @@ from repro.core.config import SystemConfig
 from repro.dram.commands import CommandCounters, StateDurations
 from repro.dram.device import NO_OPEN_ROW
 from repro.errors import AddressError, ConfigurationError
+from repro.lru import LockedLRU
 
 _NUMPY_MISSING = (
     "the 'batch' backend needs numpy, which is not installed; "
@@ -96,14 +96,7 @@ _NUMPY_MISSING = (
 DECODE_CACHE_SIZE = 32
 
 #: Content-keyed LRU: (run-table bytes, mapping params) -> _DecodedStream.
-_DECODE_CACHE: "OrderedDict[tuple, _DecodedStream]" = OrderedDict()
-_CACHE_STATS = {
-    "hits": 0,
-    "misses": 0,
-    "lookups": 0,
-    "insertions": 0,
-    "evictions": 0,
-}
+_DECODE_CACHE: "LockedLRU[_DecodedStream]" = LockedLRU(DECODE_CACHE_SIZE)
 
 
 def decode_cache_stats() -> dict:
@@ -119,23 +112,17 @@ def decode_cache_stats() -> dict:
       evicted) and ``entries == insertions - evictions
       <= DECODE_CACHE_SIZE``.
 
-    Pinned by a property test in ``tests/backends/test_batch.py``.
+    The cache is a :class:`~repro.lru.LockedLRU`, so the ledger also
+    closes when several threads decode at once.  Pinned by property
+    and threaded stress tests in ``tests/backends/test_batch.py`` and
+    ``tests/test_lru.py``.
     """
-    return {
-        "hits": _CACHE_STATS["hits"],
-        "misses": _CACHE_STATS["misses"],
-        "lookups": _CACHE_STATS["lookups"],
-        "insertions": _CACHE_STATS["insertions"],
-        "evictions": _CACHE_STATS["evictions"],
-        "entries": len(_DECODE_CACHE),
-    }
+    return _DECODE_CACHE.stats()
 
 
 def clear_decode_cache() -> None:
     """Drop every cached segment table and reset the statistics."""
     _DECODE_CACHE.clear()
-    for name in _CACHE_STATS:
-        _CACHE_STATS[name] = 0
 
 
 class _DecodedStream:
@@ -290,19 +277,9 @@ def _decode_cached(table, mapping) -> _DecodedStream:
         mapping.xor_shift,
         mapping.xor_mask,
     )
-    _CACHE_STATS["lookups"] += 1
-    cached = _DECODE_CACHE.get(key)
-    if cached is not None:
-        _DECODE_CACHE.move_to_end(key)
-        _CACHE_STATS["hits"] += 1
-        return cached
-    _CACHE_STATS["misses"] += 1
-    decoded = _decode_stream(table, mapping)
-    _DECODE_CACHE[key] = decoded
-    _CACHE_STATS["insertions"] += 1
-    while len(_DECODE_CACHE) > DECODE_CACHE_SIZE:
-        _DECODE_CACHE.popitem(last=False)
-        _CACHE_STATS["evictions"] += 1
+    decoded, _ = _DECODE_CACHE.get_or_compute(
+        key, lambda: _decode_stream(table, mapping)
+    )
     return decoded
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import set_default_backend
+from repro.backends.batch import clear_decode_cache
 from repro.controller.interconnect import InterconnectModel
 from repro.core.config import SystemConfig
 from repro.dram.datasheet import NEXT_GEN_MOBILE_DDR, next_gen_mobile_ddr
+from repro.load.frames import clear_frame_memo
 from repro.usecase.levels import level_by_name
 from repro.usecase.pipeline import VideoRecordingUseCase
 
@@ -37,6 +39,18 @@ def pytest_configure(config):
     backend = config.getoption("--backend")
     if backend:
         set_default_backend(backend)
+
+
+@pytest.fixture(autouse=True)
+def cold_process_memos():
+    """Start every test with an empty frame memo and decode cache.
+
+    Both are process-wide, so without this a test that counts phases,
+    memo hits or decode misses would depend on which tests ran before
+    it in the same process.
+    """
+    clear_frame_memo()
+    clear_decode_cache()
 
 
 @pytest.fixture
